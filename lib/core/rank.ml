@@ -1,8 +1,9 @@
 let upward_ranks g =
   let wb = Dag.Csr.w_blue g and wr = Dag.Csr.w_red g in
+  let comm = Dag.Csr.e_comm g in
   Paths.bottom_levels g
     ~node_weight:(fun i -> (wb.(i) +. wr.(i)) /. 2.)
-    ~edge_weight:(fun e -> e.Dag.comm /. 2.)
+    ~edge_weight:(fun k -> comm.(k) /. 2.)
 
 let priority_list ?rng ?ranks g =
   let ranks = match ranks with Some r -> r | None -> upward_ranks g in

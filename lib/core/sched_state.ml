@@ -81,8 +81,7 @@ type t = {
 
 let create ?(options = default_options) g platform =
   let n = Dag.n_tasks g in
-  let pending = Array.make n 0 in
-  Array.iter (fun (e : Dag.edge) -> pending.(e.Dag.dst) <- pending.(e.Dag.dst) + 1) (Dag.edges g);
+  let pending = Array.init n (Dag.Csr.in_degree g) in
   let ready_arr = Array.make (max 1 n) 0 in
   let in_ready = Array.make n false in
   let ready_len = ref 0 in
@@ -317,9 +316,9 @@ let best_estimate t i =
   let blue, red = estimate_pair t i in
   better_estimate blue red
 
-(* Processor of [mu] minimising idle time before a task starting at [start]
-   with duration [w] (paper: maximise avail among procs available by then). *)
-let select_proc t mu ~start ~w =
+(* Processor of [mu] minimising idle time before task [i] starting at
+   [start] (paper: maximise avail among procs available by then). *)
+let select_proc t mu ~start i =
   match t.options.proc_policy with
   | Earliest_available ->
     let best = ref None in
@@ -335,6 +334,7 @@ let select_proc t mu ~start ~w =
     | Some p -> p
     | None -> invalid_arg "Sched_state.commit: stale estimate (no processor available)")
   | Insertion ->
+    let w = Platform.w t.g i mu in
     let fits p =
       List.for_all
         (fun (b0, b1) -> b1 <= start +. eps || b0 +. eps >= start +. w)
@@ -372,10 +372,9 @@ let commit t e =
   if not (is_ready t i) then invalid_arg "Sched_state.commit: task not ready";
   let g = t.g in
   let code = Est.code_of_mem mu in
-  let w = Platform.w g i mu in
   let start = e.est and eft = e.eft in
   let free_mu = free_of t mu and free_other = free_of t (Platform.other mu) in
-  let proc = select_proc t mu ~start ~w in
+  let proc = select_proc t mu ~start i in
   (* Capture the about-to-be-overwritten state before any mutation.  The
      record only reads; it cannot perturb the commit, so a trailing commit is
      bit-identical to a plain one. *)
@@ -456,11 +455,12 @@ let commit t e =
   t.mem_code.(i) <- code;
   t.assigned_count <- t.assigned_count + 1;
   ready_drop t i;
-  List.iter
-    (fun c ->
-      t.pending_parents.(c) <- t.pending_parents.(c) - 1;
-      if t.pending_parents.(c) = 0 then ready_add t c)
-    (Dag.children g i);
+  let succ_off = Dag.Csr.succ_off g and succ_dst = Dag.Csr.succ_dst g in
+  for p = succ_off.(i) to succ_off.(i + 1) - 1 do
+    let c = succ_dst.(p) in
+    t.pending_parents.(c) <- t.pending_parents.(c) - 1;
+    if t.pending_parents.(c) = 0 then ready_add t c
+  done;
   t.commit_log <- i :: t.commit_log;
   match undo with Some u -> t.trail <- u :: t.trail | None -> ()
 
@@ -486,11 +486,12 @@ let uncommit t =
     t.assigned_count <- t.assigned_count - 1;
     t.planned_blue <- u.u_planned_blue;
     t.planned_red <- u.u_planned_red;
-    List.iter
-      (fun c ->
-        if t.pending_parents.(c) = 0 then ready_drop t c;
-        t.pending_parents.(c) <- t.pending_parents.(c) + 1)
-      (Dag.children t.g i);
+    let succ_off = Dag.Csr.succ_off t.g and succ_dst = Dag.Csr.succ_dst t.g in
+    for p = succ_off.(i) to succ_off.(i + 1) - 1 do
+      let c = succ_dst.(p) in
+      if t.pending_parents.(c) = 0 then ready_drop t c;
+      t.pending_parents.(c) <- t.pending_parents.(c) + 1
+    done;
     (match t.commit_log with _ :: log -> t.commit_log <- log | [] -> ());
     ready_add t i
 

@@ -1,67 +1,73 @@
 type task = { id : int; name : string; w_blue : float; w_red : float }
 type edge = { eid : int; src : int; dst : int; size : float; comm : float }
 
-(* Flat mirror of the record/list graph, built once at [finalize].  Hot loops
-   (EST evaluation, commit, rank computation) walk these arrays cache-linearly
-   instead of chasing [edge list] spines; the packed edge ids of each row are
-   in ascending eid order, i.e. exactly the insertion order of the
-   corresponding [succ]/[pred] list, so any fold rewritten over the CSR view
-   accumulates floats in the same order and stays bit-identical. *)
-type csr = {
+(* The one stored form of a graph, built once at [finalize]: task names, SoA
+   task and edge attributes, CSR adjacency rows, topological layers and the
+   cached topological order.  The packed edge ids of each row are in
+   ascending eid order (insertion order), so every fold over a row
+   accumulates floats in a fixed, documented order.  The [task]/[edge]
+   records and the [pred]/[children]/[parents] lists are views built
+   from these arrays on demand. *)
+type t = {
+  names : string array;
+  w_blue : float array;  (* SoA task attributes, indexed by task id *)
+  w_red : float array;
+  e_src : int array;  (* SoA edge attributes, indexed by eid *)
+  e_dst : int array;
+  e_size : float array;
+  e_comm : float array;
   succ_off : int array;  (* length n+1: row [i] is [succ_off.(i) .. succ_off.(i+1) - 1] *)
   succ_eid : int array;  (* packed outgoing edge ids, ascending eid within a row *)
   succ_dst : int array;  (* dst of the edge at the same packed index *)
   pred_off : int array;
   pred_eid : int array;  (* packed incoming edge ids, ascending eid within a row *)
   pred_src : int array;
-  e_src : int array;  (* SoA edge attributes, indexed by eid *)
-  e_dst : int array;
-  e_size : float array;
-  e_comm : float array;
-  w_blue : float array;  (* SoA task attributes, indexed by task id *)
-  w_red : float array;
   in_sz : float array;  (* total input / output file size per task *)
   out_sz : float array;
   layer_of : int array;  (* topological depth: 0 for sources, 1 + max parent depth *)
   layer_off : int array;  (* length n_layers+1 into [layer_tasks] *)
   layer_tasks : int array;  (* task ids grouped by layer, ascending within a layer *)
-  children_v : int list array;  (* precomputed list views for the legacy API *)
-  parents_v : int list array;
-}
-
-type t = {
-  tasks : task array;
-  edges : edge array;
-  succ : edge list array;  (* outgoing, insertion order *)
-  pred : edge list array;  (* incoming, insertion order *)
-  edge_index : (int * int, int) Hashtbl.t;
   topo : int array;  (* cached topological order *)
-  csr : csr;
 }
 
 module Builder = struct
-  type dag = t
-
-  let _witness : dag option = None
-
+  (* Growable SoA columns; only the first [ntasks] / [nedges] slots are
+     live.  [finalize] trims them to their exact lengths. *)
   type t = {
-    mutable rev_tasks : task list;
-    mutable rev_edges : edge list;
+    mutable names : string array;
+    mutable w_blue : float array;
+    mutable w_red : float array;
     mutable ntasks : int;
+    mutable e_src : int array;
+    mutable e_dst : int array;
+    mutable e_size : float array;
+    mutable e_comm : float array;
     mutable nedges : int;
-    seen : (int * int, unit) Hashtbl.t;
   }
 
   let create () =
-    { rev_tasks = []; rev_edges = []; ntasks = 0; nedges = 0; seen = Hashtbl.create 64 }
+    { names = [||]; w_blue = [||]; w_red = [||]; ntasks = 0;
+      e_src = [||]; e_dst = [||]; e_size = [||]; e_comm = [||]; nedges = 0 }
+
+  (* Doubling growth keeps appends amortised O(1). *)
+  let grow a len fill =
+    let b = Array.make (max 16 (2 * len)) fill in
+    Array.blit a 0 b 0 len;
+    b
 
   let add_task b ?name ~w_blue ~w_red () =
     Fp.check_finite ~what:"Dag.Builder.add_task: processing time" w_blue;
     Fp.check_finite ~what:"Dag.Builder.add_task: processing time" w_red;
     if w_blue < 0. || w_red < 0. then invalid_arg "Dag.Builder.add_task: negative time";
     let id = b.ntasks in
-    let name = match name with Some n -> n | None -> Printf.sprintf "t%d" id in
-    b.rev_tasks <- { id; name; w_blue; w_red } :: b.rev_tasks;
+    if id = Array.length b.names then begin
+      b.names <- grow b.names id "";
+      b.w_blue <- grow b.w_blue id 0.;
+      b.w_red <- grow b.w_red id 0.
+    end;
+    b.names.(id) <- (match name with Some n -> n | None -> "t" ^ Int.to_string id);
+    b.w_blue.(id) <- w_blue;
+    b.w_red.(id) <- w_red;
     b.ntasks <- id + 1;
     id
 
@@ -72,93 +78,82 @@ module Builder = struct
     Fp.check_finite ~what:"Dag.Builder.add_edge: file size" size;
     Fp.check_finite ~what:"Dag.Builder.add_edge: transfer time" comm;
     if size < 0. || comm < 0. then invalid_arg "Dag.Builder.add_edge: negative attribute";
-    if Hashtbl.mem b.seen (src, dst) then invalid_arg "Dag.Builder.add_edge: duplicate edge";
-    Hashtbl.add b.seen (src, dst) ();
-    b.rev_edges <- { eid = b.nedges; src; dst; size; comm } :: b.rev_edges;
-    b.nedges <- b.nedges + 1
+    let k = b.nedges in
+    if k = Array.length b.e_src then begin
+      b.e_src <- grow b.e_src k 0;
+      b.e_dst <- grow b.e_dst k 0;
+      b.e_size <- grow b.e_size k 0.;
+      b.e_comm <- grow b.e_comm k 0.
+    end;
+    b.e_src.(k) <- src;
+    b.e_dst.(k) <- dst;
+    b.e_size.(k) <- size;
+    b.e_comm.(k) <- comm;
+    b.nedges <- k + 1
 
-  (* Kahn's algorithm; ids of equal depth come out in increasing order thanks
-     to the priority queue, making the order deterministic. *)
-  let topo_sort ~n ~succ ~indeg =
-    let indeg = Array.copy indeg in
-    let ready = Pqueue.create ~cmp:compare in
+  (* Two-pass counting sort of the ids [0 .. length key - 1] by [key]:
+     returns the row offsets and the packed ids.  Scanning ids in ascending
+     order through the row cursors packs each row in ascending id order. *)
+  let pack ~n key =
+    let off = Array.make (n + 1) 0 in
+    Array.iter (fun v -> off.(v + 1) <- off.(v + 1) + 1) key;
+    for i = 1 to n do
+      off.(i) <- off.(i) + off.(i - 1)
+    done;
+    let packed = Array.make (Array.length key) 0 in
+    let cur = Array.sub off 0 n in
+    Array.iteri
+      (fun k v ->
+        packed.(cur.(v)) <- k;
+        cur.(v) <- cur.(v) + 1)
+      key;
+    (off, packed)
+
+  (* One stamp per task: [stamp.(d) = i] once row [i] has reached [d], so a
+     second visit within the same row is a duplicate (src, dst) pair. *)
+  let check_no_duplicates ~n ~succ_off ~succ_dst =
+    let stamp = Array.make n (-1) in
+    for i = 0 to n - 1 do
+      for p = succ_off.(i) to succ_off.(i + 1) - 1 do
+        let d = succ_dst.(p) in
+        if stamp.(d) = i then invalid_arg "Dag.Builder.finalize: duplicate edge";
+        stamp.(d) <- i
+      done
+    done
+
+  (* Kahn's algorithm over the successor rows; the priority queue pops the
+     smallest ready id first, making the order deterministic. *)
+  let topo_sort ~n ~succ_off ~succ_dst ~pred_off =
+    let indeg = Array.init n (fun i -> pred_off.(i + 1) - pred_off.(i)) in
+    let ready = Pqueue.create ~cmp:Int.compare in
     for i = 0 to n - 1 do
       if indeg.(i) = 0 then Pqueue.push ready i
     done;
     let order = Array.make n (-1) in
     let k = ref 0 in
-    let rec drain () =
-      match Pqueue.pop ready with
-      | None -> ()
-      | Some i ->
-        order.(!k) <- i;
-        incr k;
-        List.iter
-          (fun e ->
-            indeg.(e.dst) <- indeg.(e.dst) - 1;
-            if indeg.(e.dst) = 0 then Pqueue.push ready e.dst)
-          succ.(i);
-        drain ()
-    in
-    drain ();
+    while not (Pqueue.is_empty ready) do
+      let i = Pqueue.pop_exn ready in
+      order.(!k) <- i;
+      incr k;
+      for p = succ_off.(i) to succ_off.(i + 1) - 1 do
+        let d = succ_dst.(p) in
+        indeg.(d) <- indeg.(d) - 1;
+        if indeg.(d) = 0 then Pqueue.push ready d
+      done
+    done;
     if !k <> n then invalid_arg "Dag.Builder.finalize: graph has a cycle";
     order
 
-  (* Two-pass counting sort by endpoint.  Scanning eids in ascending order
-     through the row cursors packs each row in ascending eid order — the same
-     order as the [succ]/[pred] insertion-order lists. *)
-  let build_csr ~n ~(edges : edge array) ~(tasks : task array) ~topo =
-    let m = Array.length edges in
-    let e_src = Array.make m 0 and e_dst = Array.make m 0 in
-    let e_size = Array.make m 0. and e_comm = Array.make m 0. in
-    for k = 0 to m - 1 do
-      let e = edges.(k) in
-      e_src.(k) <- e.src;
-      e_dst.(k) <- e.dst;
-      e_size.(k) <- e.size;
-      e_comm.(k) <- e.comm
-    done;
-    let succ_off = Array.make (n + 1) 0 and pred_off = Array.make (n + 1) 0 in
-    for k = 0 to m - 1 do
-      succ_off.(e_src.(k) + 1) <- succ_off.(e_src.(k) + 1) + 1;
-      pred_off.(e_dst.(k) + 1) <- pred_off.(e_dst.(k) + 1) + 1
-    done;
-    for i = 1 to n do
-      succ_off.(i) <- succ_off.(i) + succ_off.(i - 1);
-      pred_off.(i) <- pred_off.(i) + pred_off.(i - 1)
-    done;
-    let succ_eid = Array.make m 0 and succ_dst = Array.make m 0 in
-    let pred_eid = Array.make m 0 and pred_src = Array.make m 0 in
-    let scur = Array.sub succ_off 0 n and pcur = Array.sub pred_off 0 n in
-    for k = 0 to m - 1 do
-      let s = e_src.(k) and d = e_dst.(k) in
-      succ_eid.(scur.(s)) <- k;
-      succ_dst.(scur.(s)) <- d;
-      scur.(s) <- scur.(s) + 1;
-      pred_eid.(pcur.(d)) <- k;
-      pred_src.(pcur.(d)) <- s;
-      pcur.(d) <- pcur.(d) + 1
-    done;
-    let w_blue = Array.make n 0. and w_red = Array.make n 0. in
-    for i = 0 to n - 1 do
-      w_blue.(i) <- tasks.(i).w_blue;
-      w_red.(i) <- tasks.(i).w_red
-    done;
-    (* Same left-fold order over the same rows as the historical
-       [in_size]/[out_size] List.fold_left: bit-identical sums. *)
-    let in_sz = Array.make n 0. and out_sz = Array.make n 0. in
-    for i = 0 to n - 1 do
-      let acc = ref 0. in
-      for k = pred_off.(i) to pred_off.(i + 1) - 1 do
-        acc := !acc +. e_size.(pred_eid.(k))
-      done;
-      in_sz.(i) <- !acc;
-      let acc = ref 0. in
-      for k = succ_off.(i) to succ_off.(i + 1) - 1 do
-        acc := !acc +. e_size.(succ_eid.(k))
-      done;
-      out_sz.(i) <- !acc
-    done;
+  (* Left folds of the edge sizes over each row, in row (= eid) order. *)
+  let row_sums ~n ~off ~eid ~e_size =
+    Array.init n (fun i ->
+        let acc = ref 0. in
+        for k = off.(i) to off.(i + 1) - 1 do
+          acc := !acc +. e_size.(eid.(k))
+        done;
+        !acc)
+
+  let layers ~n ~pred_off ~pred_src ~topo =
     let layer_of = Array.make n 0 in
     let n_layers = ref (if n = 0 then 0 else 1) in
     Array.iter
@@ -171,136 +166,98 @@ module Builder = struct
         layer_of.(i) <- !d;
         if !d + 1 > !n_layers then n_layers := !d + 1)
       topo;
-    let layer_off = Array.make (!n_layers + 1) 0 in
-    for i = 0 to n - 1 do
-      layer_off.(layer_of.(i) + 1) <- layer_off.(layer_of.(i) + 1) + 1
-    done;
-    for l = 1 to !n_layers do
-      layer_off.(l) <- layer_off.(l) + layer_off.(l - 1)
-    done;
-    let layer_tasks = Array.make n 0 in
-    let lcur = Array.sub layer_off 0 !n_layers in
-    for i = 0 to n - 1 do
-      let l = layer_of.(i) in
-      layer_tasks.(lcur.(l)) <- i;
-      lcur.(l) <- lcur.(l) + 1
-    done;
-    let children_v = Array.make n [] and parents_v = Array.make n [] in
-    for i = 0 to n - 1 do
-      let cs = ref [] in
-      for k = succ_off.(i + 1) - 1 downto succ_off.(i) do
-        cs := succ_dst.(k) :: !cs
-      done;
-      children_v.(i) <- !cs;
-      let ps = ref [] in
-      for k = pred_off.(i + 1) - 1 downto pred_off.(i) do
-        ps := pred_src.(k) :: !ps
-      done;
-      parents_v.(i) <- !ps
-    done;
-    {
-      succ_off;
-      succ_eid;
-      succ_dst;
-      pred_off;
-      pred_eid;
-      pred_src;
-      e_src;
-      e_dst;
-      e_size;
-      e_comm;
-      w_blue;
-      w_red;
-      in_sz;
-      out_sz;
-      layer_of;
-      layer_off;
-      layer_tasks;
-      children_v;
-      parents_v;
-    }
+    let layer_off, layer_tasks = pack ~n:!n_layers layer_of in
+    (layer_of, layer_off, layer_tasks)
 
   let finalize b =
-    let n = b.ntasks in
-    let tasks = Array.make n { id = 0; name = ""; w_blue = 0.; w_red = 0. } in
-    List.iter (fun t -> tasks.(t.id) <- t) b.rev_tasks;
-    let edges = Array.make b.nedges { eid = 0; src = 0; dst = 0; size = 0.; comm = 0. } in
-    List.iter (fun e -> edges.(e.eid) <- e) b.rev_edges;
-    let succ = Array.make n [] and pred = Array.make n [] in
-    let indeg = Array.make n 0 in
-    (* Iterate in reverse eid order so the lists end up in insertion order. *)
-    for k = b.nedges - 1 downto 0 do
-      let e = edges.(k) in
-      succ.(e.src) <- e :: succ.(e.src);
-      pred.(e.dst) <- e :: pred.(e.dst)
-    done;
-    Array.iter (fun e -> indeg.(e.dst) <- indeg.(e.dst) + 1) edges;
-    let topo = topo_sort ~n ~succ ~indeg in
-    let edge_index = Hashtbl.create (max 16 b.nedges) in
-    Array.iter (fun e -> Hashtbl.replace edge_index (e.src, e.dst) e.eid) edges;
-    let csr = build_csr ~n ~edges ~tasks ~topo in
-    { tasks; edges; succ; pred; edge_index; topo; csr }
+    let n = b.ntasks and m = b.nedges in
+    let e_src = Array.sub b.e_src 0 m and e_dst = Array.sub b.e_dst 0 m in
+    let e_size = Array.sub b.e_size 0 m and e_comm = Array.sub b.e_comm 0 m in
+    let succ_off, succ_eid = pack ~n e_src in
+    let succ_dst = Array.map (Array.get e_dst) succ_eid in
+    check_no_duplicates ~n ~succ_off ~succ_dst;
+    let pred_off, pred_eid = pack ~n e_dst in
+    let pred_src = Array.map (Array.get e_src) pred_eid in
+    let topo = topo_sort ~n ~succ_off ~succ_dst ~pred_off in
+    let layer_of, layer_off, layer_tasks = layers ~n ~pred_off ~pred_src ~topo in
+    let in_sz = row_sums ~n ~off:pred_off ~eid:pred_eid ~e_size in
+    let out_sz = row_sums ~n ~off:succ_off ~eid:succ_eid ~e_size in
+    let names = Array.sub b.names 0 n in
+    let w_blue = Array.sub b.w_blue 0 n and w_red = Array.sub b.w_red 0 n in
+    { names; w_blue; w_red; e_src; e_dst; e_size; e_comm; succ_off; succ_eid; succ_dst;
+      pred_off; pred_eid; pred_src; in_sz; out_sz; layer_of; layer_off; layer_tasks; topo }
 end
 
-let n_tasks g = Array.length g.tasks
-let n_edges g = Array.length g.edges
-let task g i = g.tasks.(i)
-let edge g k = g.edges.(k)
-let tasks g = g.tasks
-let edges g = g.edges
-let succ g i = g.succ.(i)
-let pred g i = g.pred.(i)
+let n_tasks g = Array.length g.names
+let n_edges g = Array.length g.e_src
+let name g i = g.names.(i)
+let task g i = { id = i; name = g.names.(i); w_blue = g.w_blue.(i); w_red = g.w_red.(i) }
 
-(* Precomputed at finalize (same elements, same order as the historical
-   per-call [List.map] over [succ]/[pred]); callers may not mutate. *)
-let children g i = g.csr.children_v.(i)
-let parents g i = g.csr.parents_v.(i)
+let edge g k =
+  { eid = k; src = g.e_src.(k); dst = g.e_dst.(k); size = g.e_size.(k); comm = g.e_comm.(k) }
+
+let tasks g = Array.init (n_tasks g) (task g)
+let edges g = Array.init (n_edges g) (edge g)
+
+(* A packed row as a fresh list, in row order. *)
+let row_list off packed f i =
+  let acc = ref [] in
+  for p = off.(i + 1) - 1 downto off.(i) do
+    acc := f packed.(p) :: !acc
+  done;
+  !acc
+
+let pred g i = row_list g.pred_off g.pred_eid (edge g) i
+let children g i = row_list g.succ_off g.succ_dst Fun.id i
+let parents g i = row_list g.pred_off g.pred_src Fun.id i
 
 let find_edge g ~src ~dst =
-  match Hashtbl.find_opt g.edge_index (src, dst) with
-  | Some k -> Some g.edges.(k)
-  | None -> None
+  if src < 0 || src >= n_tasks g then None
+  else begin
+    let rec scan p =
+      if p >= g.succ_off.(src + 1) then None
+      else if g.succ_dst.(p) = dst then Some (edge g g.succ_eid.(p))
+      else scan (p + 1)
+    in
+    scan g.succ_off.(src)
+  end
 
-let sources g =
+(* Tasks whose [off] row is empty, ascending. *)
+let empty_rows off =
   let acc = ref [] in
-  for i = n_tasks g - 1 downto 0 do
-    match g.pred.(i) with [] -> acc := i :: !acc | _ :: _ -> ()
+  for i = Array.length off - 2 downto 0 do
+    if off.(i) = off.(i + 1) then acc := i :: !acc
   done;
   !acc
 
-let sinks g =
-  let acc = ref [] in
-  for i = n_tasks g - 1 downto 0 do
-    match g.succ.(i) with [] -> acc := i :: !acc | _ :: _ -> ()
-  done;
-  !acc
-
-let in_size g i = g.csr.in_sz.(i)
-let out_size g i = g.csr.out_sz.(i)
+let sources g = empty_rows g.pred_off
+let sinks g = empty_rows g.succ_off
+let in_size g i = g.in_sz.(i)
+let out_size g i = g.out_sz.(i)
 let mem_req g i = in_size g i +. out_size g i
-let total_file_size g = Array.fold_left (fun acc e -> acc +. e.size) 0. g.edges
+let total_file_size g = Array.fold_left ( +. ) 0. g.e_size
 
-(* Read-only views of the flat arena.  The contract (enforced by the
+(* Read-only views of the arena.  The contract (enforced by the
    [order-stability] lint rule fencing raw [Array.unsafe_*] outside this
-   file, and by test_csr's equivalence oracle) is: packed rows are in
-   ascending eid order, identical to the [succ]/[pred] list order. *)
+   file, and by test_csr's naive-scan oracle) is: packed rows are in
+   ascending eid order. *)
 module Csr = struct
-  let succ_off g = g.csr.succ_off
-  let succ_eid g = g.csr.succ_eid
-  let succ_dst g = g.csr.succ_dst
-  let pred_off g = g.csr.pred_off
-  let pred_eid g = g.csr.pred_eid
-  let pred_src g = g.csr.pred_src
-  let e_src g = g.csr.e_src
-  let e_dst g = g.csr.e_dst
-  let e_size g = g.csr.e_size
-  let e_comm g = g.csr.e_comm
-  let w_blue g = g.csr.w_blue
-  let w_red g = g.csr.w_red
-  let in_sz g = g.csr.in_sz
-  let out_sz g = g.csr.out_sz
-  let in_degree g i = g.csr.pred_off.(i + 1) - g.csr.pred_off.(i)
-  let out_degree g i = g.csr.succ_off.(i + 1) - g.csr.succ_off.(i)
+  let succ_off g = g.succ_off
+  let succ_eid g = g.succ_eid
+  let succ_dst g = g.succ_dst
+  let pred_off g = g.pred_off
+  let pred_eid g = g.pred_eid
+  let pred_src g = g.pred_src
+  let e_src g = g.e_src
+  let e_dst g = g.e_dst
+  let e_size g = g.e_size
+  let e_comm g = g.e_comm
+  let w_blue g = g.w_blue
+  let w_red g = g.w_red
+  let in_sz g = g.in_sz
+  let out_sz g = g.out_sz
+  let in_degree g i = g.pred_off.(i + 1) - g.pred_off.(i)
+  let out_degree g i = g.succ_off.(i + 1) - g.succ_off.(i)
 
   let max_in_degree g =
     let d = ref 0 in
@@ -310,16 +267,13 @@ module Csr = struct
     done;
     !d
 
-  let n_layers g = Array.length g.csr.layer_off - 1
-  let layer_of g = g.csr.layer_of
-  let layer_off g = g.csr.layer_off
-  let layer_tasks g = g.csr.layer_tasks
+  let n_layers g = Array.length g.layer_off - 1
+  let layer_of g = g.layer_of
+  let layer_off g = g.layer_off
+  let layer_tasks g = g.layer_tasks
 end
 
-let w_min g i =
-  let t = g.tasks.(i) in
-  Float.min t.w_blue t.w_red
-
+let w_min g i = Float.min g.w_blue.(i) g.w_red.(i)
 let topological_order g = Array.copy g.topo
 
 let is_topological g order =
@@ -331,7 +285,10 @@ let is_topological g order =
     Array.iteri
       (fun k i -> if i < 0 || i >= n || pos.(i) >= 0 then ok := false else pos.(i) <- k)
       order;
-    !ok && Array.for_all (fun e -> pos.(e.src) < pos.(e.dst)) g.edges
+    let rec edges_ok k =
+      k >= n_edges g || (pos.(g.e_src.(k)) < pos.(g.e_dst.(k)) && edges_ok (k + 1))
+    in
+    !ok && edges_ok 0
   end
 
 let longest_path g ~node_weight ~edge_weight =
@@ -341,12 +298,11 @@ let longest_path g ~node_weight ~edge_weight =
     let dist = Array.make n neg_infinity in
     Array.iter
       (fun i ->
-        let from_parents =
-          List.fold_left
-            (fun acc e -> Float.max acc (dist.(e.src) +. edge_weight e))
-            0. g.pred.(i)
-        in
-        dist.(i) <- from_parents +. node_weight i)
+        let acc = ref 0. in
+        for p = g.pred_off.(i) to g.pred_off.(i + 1) - 1 do
+          acc := Float.max !acc (dist.(g.pred_src.(p)) +. edge_weight g.pred_eid.(p))
+        done;
+        dist.(i) <- !acc +. node_weight i)
       g.topo;
     Array.fold_left Float.max neg_infinity dist
   end
@@ -358,15 +314,14 @@ let to_string g =
   Buffer.add_string buf (Printf.sprintf "dag %d %d\n" (n_tasks g) (n_edges g));
   (* The line format is whitespace-separated: keep names parseable. *)
   let safe_name n = String.map (fun c -> if c = ' ' || c = '\t' then '_' else c) n in
-  Array.iter
-    (fun t ->
-      Buffer.add_string buf
-        (Printf.sprintf "task %d %s %.17g %.17g\n" t.id (safe_name t.name) t.w_blue t.w_red))
-    g.tasks;
-  Array.iter
-    (fun e ->
-      Buffer.add_string buf (Printf.sprintf "edge %d %d %.17g %.17g\n" e.src e.dst e.size e.comm))
-    g.edges;
+  for i = 0 to n_tasks g - 1 do
+    Buffer.add_string buf
+      (Printf.sprintf "task %d %s %.17g %.17g\n" i (safe_name g.names.(i)) g.w_blue.(i) g.w_red.(i))
+  done;
+  for k = 0 to n_edges g - 1 do
+    Buffer.add_string buf
+      (Printf.sprintf "edge %d %d %.17g %.17g\n" g.e_src.(k) g.e_dst.(k) g.e_size.(k) g.e_comm.(k))
+  done;
   Buffer.contents buf
 
 let of_string s =
@@ -419,33 +374,35 @@ let of_string s =
 let to_dot ?highlight g =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "digraph dag {\n  rankdir=TB;\n  node [shape=box];\n";
-  Array.iter
-    (fun t ->
-      let fill =
-        match highlight with
-        | Some f -> (
-          match f t.id with
-          | Some color -> Printf.sprintf ", style=filled, fillcolor=\"%s\"" color
-          | None -> "")
-        | None -> ""
-      in
-      Buffer.add_string buf
-        (Printf.sprintf "  n%d [label=\"%s\\nWb=%g Wr=%g\"%s];\n" t.id t.name t.w_blue t.w_red fill))
-    g.tasks;
-  Array.iter
-    (fun e ->
-      Buffer.add_string buf
-        (Printf.sprintf "  n%d -> n%d [label=\"F=%g C=%g\"];\n" e.src e.dst e.size e.comm))
-    g.edges;
+  for i = 0 to n_tasks g - 1 do
+    let fill =
+      match highlight with
+      | Some f -> (
+        match f i with
+        | Some color -> Printf.sprintf ", style=filled, fillcolor=\"%s\"" color
+        | None -> "")
+      | None -> ""
+    in
+    Buffer.add_string buf
+      (Printf.sprintf "  n%d [label=\"%s\\nWb=%g Wr=%g\"%s];\n" i g.names.(i) g.w_blue.(i)
+         g.w_red.(i) fill)
+  done;
+  for k = 0 to n_edges g - 1 do
+    Buffer.add_string buf
+      (Printf.sprintf "  n%d -> n%d [label=\"F=%g C=%g\"];\n" g.e_src.(k) g.e_dst.(k) g.e_size.(k)
+         g.e_comm.(k))
+  done;
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
 let pp_stats ppf g =
-  let n = n_tasks g and m = n_edges g in
-  let outdeg = Array.make (max n 1) 0 in
-  Array.iter (fun e -> outdeg.(e.src) <- outdeg.(e.src) + 1) g.edges;
-  let max_deg = Array.fold_left max 0 outdeg in
-  Format.fprintf ppf "tasks=%d edges=%d sources=%d sinks=%d max-out-degree=%d cp(min-w)=%g" n m
+  let n = n_tasks g in
+  let max_deg = ref 0 in
+  for i = 0 to n - 1 do
+    max_deg := max !max_deg (Csr.out_degree g i)
+  done;
+  Format.fprintf ppf "tasks=%d edges=%d sources=%d sinks=%d max-out-degree=%d cp(min-w)=%g" n
+    (n_edges g)
     (List.length (sources g))
     (List.length (sinks g))
-    max_deg (critical_path_min g)
+    !max_deg (critical_path_min g)

@@ -6,7 +6,12 @@
     by [j], and a transfer time [C(i,j)] paid when [i] and [j] execute on
     different memories.
 
-    Graphs are immutable once finalised; build them with {!Builder}. *)
+    Graphs are immutable once finalised; build them with {!Builder}.  A
+    graph is stored one way only: task names, structure-of-arrays task and
+    edge attributes, and CSR adjacency rows (see {!Csr}).  The {!task} and
+    {!edge} records and the [list] accessors are views built from those
+    arrays on every call; they allocate, and hot loops read {!Csr}
+    instead. *)
 
 type task = {
   id : int;
@@ -38,38 +43,46 @@ module Builder : sig
       be non-negative. *)
 
   val add_edge : t -> src:int -> dst:int -> size:float -> comm:float -> unit
-  (** Adds a dependency edge with its file size and transfer time.  Duplicate
-      (src, dst) pairs and self-loops are rejected. *)
+  (** Adds a dependency edge with its file size and transfer time.
+      @raise Invalid_argument on a dangling endpoint, a self-loop, or a
+      non-finite or negative attribute. *)
 
   val finalize : t -> dag
-  (** Checks acyclicity and freezes the graph.
-      @raise Invalid_argument on a cyclic graph or dangling endpoint. *)
+  (** Packs the CSR rows, rejects duplicate [(src, dst)] pairs (one stamp
+      per task over each successor row, O(tasks + edges)) and cycles, and
+      freezes the graph.
+      @raise Invalid_argument ["Dag.Builder.finalize: duplicate edge"] or
+      ["Dag.Builder.finalize: graph has a cycle"]. *)
 end
 
-(** {1 Accessors} *)
+(** {1 Accessors}
+
+    [n_tasks], [n_edges], [name], the sizes and [w_min] read the arrays
+    directly.  [task], [edge], [tasks], [edges], [pred], [children] and
+    [parents] build fresh records or lists on every call: they serve
+    printing, serialisation and the reference implementations, not hot
+    loops. *)
 
 val n_tasks : t -> int
 val n_edges : t -> int
+
+val name : t -> int -> string
 val task : t -> int -> task
 val edge : t -> int -> edge
 val tasks : t -> task array
 val edges : t -> edge array
 
-val succ : t -> int -> edge list
-(** Outgoing edges of a task, in insertion order. *)
-
 val pred : t -> int -> edge list
-(** Incoming edges of a task, in insertion order. *)
+(** Incoming edges of a task, in edge-insertion order (allocates). *)
 
 val children : t -> int -> int list
-(** Child task ids in edge-insertion order.  Precomputed at
-    {!Builder.finalize}; the returned list is shared — do not mutate-by-copy
-    patterns that rely on freshness. *)
+(** Child task ids, in edge-insertion order (allocates). *)
 
 val parents : t -> int -> int list
-(** Parent task ids in edge-insertion order.  Precomputed, shared. *)
+(** Parent task ids, in edge-insertion order (allocates). *)
 
 val find_edge : t -> src:int -> dst:int -> edge option
+(** Scans the successor row of [src]. *)
 
 val sources : t -> int list
 (** Tasks without predecessors. *)
@@ -93,15 +106,14 @@ val total_file_size : t -> float
 val w_min : t -> int -> float
 (** [min w_blue w_red] for a task. *)
 
-(** {1 Flat (CSR / SoA) views}
+(** {1 The stored arrays (CSR / SoA)}
 
-    The scheduling hot paths walk the graph through these contiguous arrays
-    rather than the [edge list] accessors above.  All arrays are built once
-    at {!Builder.finalize} and are READ-ONLY: mutating them corrupts the
-    graph.  Packed adjacency rows are in ascending edge-id order — exactly
-    the insertion order of the corresponding {!succ}/{!pred} list — so a
-    fold over a CSR row accumulates in the same order as the list fold it
-    replaces (bit-identical float results). *)
+    These arrays are the graph: every accessor above reads them.  They are
+    built once at {!Builder.finalize} and are READ-ONLY: mutating them
+    corrupts the graph.  Packed adjacency rows are in ascending edge-id
+    order (edge-insertion order), so a fold over a row accumulates floats
+    in a fixed order; {!pred}/{!children}/{!parents} list the same rows in
+    the same order. *)
 
 module Csr : sig
   val succ_off : t -> int array
@@ -163,9 +175,10 @@ val topological_order : t -> int array
 
 val is_topological : t -> int array -> bool
 
-val longest_path : t -> node_weight:(int -> float) -> edge_weight:(edge -> float) -> float
+val longest_path : t -> node_weight:(int -> float) -> edge_weight:(int -> float) -> float
 (** Weight of a heaviest source-to-sink path, counting node weights of every
-    node on the path and edge weights of every edge. *)
+    node on the path and edge weights of every edge.  [edge_weight] takes an
+    edge id. *)
 
 val critical_path_min : t -> float
 (** Longest path using [min w_blue w_red] per task and zero edge weight: a

@@ -1,6 +1,6 @@
 let generate ?pipeline_broadcasts ~n () =
   if n <= 0 then invalid_arg "Cholesky.generate: n must be positive";
-  let t = Tiled.create () in
+  let t = Tiled.create ~n in
   for k = 0 to n - 1 do
     Tiled.add_kernel t Kernels.Potrf
       ~name:(Printf.sprintf "potrf_%d" k)

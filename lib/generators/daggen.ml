@@ -34,7 +34,14 @@ let check p =
   if p.size <= 0 then invalid_arg "Daggen: size must be positive";
   if p.width <= 0. || p.width > 1. then invalid_arg "Daggen: width must be in (0,1]";
   if p.density < 0. || p.density > 1. then invalid_arg "Daggen: density must be in [0,1]";
-  if p.jumps < 1 then invalid_arg "Daggen: jumps must be >= 1"
+  if p.jumps < 1 then invalid_arg "Daggen: jumps must be >= 1";
+  let check_range what (lo, hi) =
+    if lo < 0 || lo > hi then
+      invalid_arg (Printf.sprintf "Daggen: %s must satisfy 0 <= lo <= hi" what)
+  in
+  check_range "w_range" p.w_range;
+  check_range "c_range" p.c_range;
+  check_range "f_range" p.f_range
 
 (* Level widths: perturbed around [size ** width] -- the width knob acts as
    an exponent of parallelism (0 -> chain, 1 -> fork-join), one documented
@@ -69,11 +76,11 @@ let generate rng p =
   in
   let level_arr = Array.of_list level_ids in
   let nlevels = Array.length level_arr in
+  (* No (src, dst) pair repeats: structural edges join consecutive levels
+     through distinct samples, and each task gets at most one jump edge, to a
+     level at least two ahead. *)
   let add_edge src dst =
-    (* Builder rejects duplicates; the caller avoids them, but jump edges may
-       collide with structural ones, so filter here. *)
-    try Dag.Builder.add_edge b ~src ~dst ~size:(draw p.f_range) ~comm:(draw p.c_range)
-    with Invalid_argument _ -> ()
+    Dag.Builder.add_edge b ~src ~dst ~size:(draw p.f_range) ~comm:(draw p.c_range)
   in
   (* Structural edges between consecutive levels: each task picks between
      one and [density * sqrt |previous level|] parents.  The square root

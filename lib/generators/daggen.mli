@@ -26,7 +26,9 @@ val large_rand_params : params
 
 val generate : Rng.t -> params -> Dag.t
 (** Deterministic given the generator state.  Every non-first-level task has
-    at least one parent, so level 0 holds every source. *)
+    at least one parent, so level 0 holds every source.
+    @raise Invalid_argument (["Daggen: ..."]) on out-of-range parameters,
+    including a cost range with [lo < 0] or [lo > hi]. *)
 
 val levels : Rng.t -> params -> int list
 (** The level widths the generator would use (exposed for tests). *)

@@ -1,6 +1,6 @@
 let generate ?pipeline_broadcasts ~n () =
   if n <= 0 then invalid_arg "Lu.generate: n must be positive";
-  let t = Tiled.create () in
+  let t = Tiled.create ~n in
   for k = 0 to n - 1 do
     Tiled.add_kernel t Kernels.Getrf
       ~name:(Printf.sprintf "getrf_%d" k)

@@ -1,9 +1,14 @@
 type t = {
   builder : Dag.Builder.t;
-  last_writer : (int * int, int) Hashtbl.t;
+  n : int;
+  last_writer : int array;  (* tile (i, j) at [i * n + j]; -1 before its first write *)
 }
 
-let create () = { builder = Dag.Builder.create (); last_writer = Hashtbl.create 64 }
+let create ~n = { builder = Dag.Builder.create (); n; last_writer = Array.make (n * n) (-1) }
+
+let slot t (i, j) =
+  if i < 0 || i >= t.n || j < 0 || j >= t.n then invalid_arg "Tiled.add_kernel: tile out of range";
+  (i * t.n) + j
 
 let add_kernel t kernel ~name ~reads ~writes =
   let id =
@@ -11,15 +16,19 @@ let add_kernel t kernel ~name ~reads ~writes =
       ~w_red:(Kernels.gpu_ms kernel) ()
   in
   let deps =
-    List.filter_map (Hashtbl.find_opt t.last_writer) (writes :: reads)
-    |> List.sort_uniq compare
+    List.filter_map
+      (fun tile ->
+        let w = t.last_writer.(slot t tile) in
+        if w < 0 then None else Some w)
+      (writes :: reads)
+    |> List.sort_uniq Int.compare
   in
   List.iter
     (fun src ->
       Dag.Builder.add_edge t.builder ~src ~dst:id ~size:Kernels.tile_size
         ~comm:Kernels.tile_transfer_ms)
     deps;
-  Hashtbl.replace t.last_writer writes id
+  t.last_writer.(slot t writes) <- id
 
 let finalize ?(pipeline_broadcasts = true) t =
   let g = Dag.Builder.finalize t.builder in

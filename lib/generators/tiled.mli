@@ -10,12 +10,14 @@
 
 type t
 
-val create : unit -> t
+val create : n:int -> t
+(** An empty [n] x [n] tile grid. *)
 
 val add_kernel : t -> Kernels.kernel -> name:string -> reads:(int * int) list -> writes:int * int -> unit
 (** Adds a task running the given kernel; dependencies come from the last
     writers of [reads] plus the last writer of [writes] (in-place update).
-    Duplicate tile reads are de-duplicated. *)
+    Duplicate tile reads are de-duplicated.
+    @raise Invalid_argument on a tile outside the grid. *)
 
 val finalize : ?pipeline_broadcasts:bool -> t -> Dag.t
 (** Builds the DAG; [pipeline_broadcasts] (default true) applies

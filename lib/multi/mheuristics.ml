@@ -4,9 +4,10 @@ type result = (Mschedule.t, failure) Result.t
 let eps = 1e-9
 
 let upward_ranks problem =
+  let comm = Dag.Csr.e_comm problem.Mproblem.graph in
   Paths.bottom_levels problem.Mproblem.graph
     ~node_weight:(Mproblem.mean_duration problem)
-    ~edge_weight:(fun e -> e.Dag.comm /. 2.)
+    ~edge_weight:(fun k -> comm.(k) /. 2.)
 
 let priority_list ?rng problem =
   let g = problem.Mproblem.graph in

@@ -126,13 +126,14 @@ module View = struct
     let off = Dag.Csr.succ_off g and eid = Dag.Csr.succ_eid g in
     let dst = Dag.Csr.succ_dst g in
     let wb = Dag.Csr.w_blue g and wr = Dag.Csr.w_red g in
+    let comm = Dag.Csr.e_comm g in
     for k = n - 1 downto 0 do
       let i = topo.(k) in
       if v.released.(i) then begin
         let acc = ref 0. in
         for p = off.(i) to off.(i + 1) - 1 do
           if v.released.(dst.(p)) then
-            acc := Float.max !acc ((Dag.edge g eid.(p)).Dag.comm /. 2. +. rank.(dst.(p)))
+            acc := Float.max !acc (comm.(eid.(p)) /. 2. +. rank.(dst.(p)))
         done;
         rank.(i) <- ((wb.(i) +. wr.(i)) /. 2.) +. !acc
       end

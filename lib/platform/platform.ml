@@ -31,9 +31,10 @@ let procs_of p = function
 
 let first_proc p = function Blue -> 0 | Red -> p.p_blue
 
-let w g i = function
-  | Blue -> (Dag.task g i).Dag.w_blue
-  | Red -> (Dag.task g i).Dag.w_red
+(* Inlined so the flat-array read stays unboxed at float call sites. *)
+let[@inline] w g i = function
+  | Blue -> (Dag.Csr.w_blue g).(i)
+  | Red -> (Dag.Csr.w_red g).(i)
 
 let pp ppf p =
   Format.fprintf ppf "platform{blue: %d procs, M=%g; red: %d procs, M=%g}" p.p_blue p.m_blue

@@ -12,7 +12,8 @@ let create g =
   }
 
 let memory_of platform s i = Platform.memory_of_proc platform s.procs.(i)
-let duration g platform s i = Platform.w g i (memory_of platform s i)
+(* Inlined, like [Platform.w], so [finish] adds an unboxed duration. *)
+let[@inline] duration g platform s i = Platform.w g i (memory_of platform s i)
 let finish g platform s i = s.starts.(i) +. duration g platform s i
 
 let is_cut platform s (e : Dag.edge) =

@@ -33,7 +33,7 @@ let ranges ~shard len =
 
 let validate ?(eps = Fp.default_eps) ?pool ?scratch g platform s =
   let n = Dag.n_tasks g and ne = Dag.n_edges g in
-  let name i = (Dag.task g i).Dag.name in
+  let name = Dag.name g in
   let nprocs = Platform.n_procs platform in
   let starts = s.Schedule.starts and procs = s.Schedule.procs in
   (* Placement sanity: serial, O(n), and the gate for everything after it

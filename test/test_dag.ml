@@ -41,8 +41,9 @@ let test_builder_rejects_duplicate () =
   let x = Dag.Builder.add_task b ~w_blue:1. ~w_red:1. () in
   let y = Dag.Builder.add_task b ~w_blue:1. ~w_red:1. () in
   Dag.Builder.add_edge b ~src:x ~dst:y ~size:1. ~comm:1.;
-  Alcotest.check_raises "duplicate" (Invalid_argument "Dag.Builder.add_edge: duplicate edge")
-    (fun () -> Dag.Builder.add_edge b ~src:x ~dst:y ~size:2. ~comm:2.)
+  Dag.Builder.add_edge b ~src:x ~dst:y ~size:2. ~comm:2.;
+  Alcotest.check_raises "duplicate" (Invalid_argument "Dag.Builder.finalize: duplicate edge")
+    (fun () -> ignore (Dag.Builder.finalize b))
 
 let test_builder_rejects_dangling () =
   let b = Dag.Builder.create () in
@@ -86,7 +87,7 @@ let test_critical_path () =
 
 let test_longest_path_weighted () =
   let w = Dag.longest_path dex ~node_weight:(fun i -> (Dag.task dex i).Dag.w_blue)
-      ~edge_weight:(fun e -> e.Dag.comm) in
+      ~edge_weight:(fun k -> (Dag.Csr.e_comm dex).(k)) in
   (* blue times: T1(3) +1+ T3(6) +1+ T4(1) = 12. *)
   check_float "blue path with comms" 12. w
 
@@ -128,12 +129,47 @@ let roundtrip_property =
              && e.Dag.comm = e'.Dag.comm)
            (List.init (Dag.n_edges g) Fun.id))
 
+(* Every malformed input is rejected with one exact, [Dag.]-prefixed
+   message, whichever layer (parser, builder, finalize) catches it. *)
 let test_of_string_errors () =
-  let bad s = try ignore (Dag.of_string s); false with Invalid_argument _ -> true in
-  check_bool "empty" true (bad "");
-  check_bool "bad header" true (bad "nonsense");
-  check_bool "missing tasks" true (bad "dag 2 0\ntask 0 a 1 1\n");
-  check_bool "bad edge" true (bad "dag 1 1\ntask 0 a 1 1\nedge 0 zz 1 1\n")
+  let two = "task 0 a 1 1\ntask 1 b 1 1\n" in
+  List.iter
+    (fun (label, input, msg) ->
+      Alcotest.check_raises label (Invalid_argument msg) (fun () -> ignore (Dag.of_string input)))
+    [ ("empty input", "", "Dag.of_string: empty input");
+      ("bad header", "nonsense", "Dag.of_string: bad header \"nonsense\"");
+      ( "NaN weight",
+        "dag 1 0\ntask 0 a nan 1\n",
+        "Dag.Builder.add_task: processing time: non-finite value (nan)" );
+      ( "1e400 weight",
+        "dag 1 0\ntask 0 a 1 1e400\n",
+        "Dag.Builder.add_task: processing time: non-finite value (infinity)" );
+      ( "bad edge",
+        "dag 1 1\ntask 0 a 1 1\nedge 0 zz 1 1\n",
+        "Dag.of_string: bad edge line \"edge 0 zz 1 1\"" );
+      ( "dangling edge",
+        "dag 1 1\ntask 0 a 1 1\nedge 0 1 1 1\n",
+        "Dag.Builder.add_edge: dangling endpoint" );
+      ( "duplicate edge",
+        "dag 2 2\n" ^ two ^ "edge 0 1 1 1\nedge 0 1 2 2\n",
+        "Dag.Builder.finalize: duplicate edge" );
+      ( "2-cycle",
+        "dag 2 2\n" ^ two ^ "edge 0 1 1 1\nedge 1 0 1 1\n",
+        "Dag.Builder.finalize: graph has a cycle" );
+      ( "non-dense task id",
+        "dag 2 0\ntask 0 a 1 1\ntask 2 b 1 1\n",
+        "Dag.of_string: task ids must be dense and in order" );
+      ("double space", "dag 1 0\ntask 0  a 1 1\n", "Dag.of_string: unknown line \"task 0  a 1 1\"");
+      ("tab", "dag 1 0\ntask 0\ta 1 1\n", "Dag.of_string: unknown line \"task 0\\ta 1 1\"");
+      ("task-count mismatch", "dag 2 0\ntask 0 a 1 1\n", "Dag.of_string: expected 2 tasks, got 1");
+      ( "edge-count mismatch",
+        "dag 2 2\n" ^ two ^ "edge 0 1 1 1\n",
+        "Dag.of_string: expected 2 edges, got 1" );
+      ("negative weight", "dag 1 0\ntask 0 a -1 1\n", "Dag.Builder.add_task: negative time");
+      ( "negative size",
+        "dag 2 1\n" ^ two ^ "edge 0 1 -1 1\n",
+        "Dag.Builder.add_edge: negative attribute" );
+      ("self-loop", "dag 1 1\ntask 0 a 1 1\nedge 0 0 1 1\n", "Dag.Builder.add_edge: self-loop") ]
 
 let test_comments_and_blanks () =
   let g = Dag.of_string "# comment\ndag 1 0\n\ntask 0 solo 2 3\n" in

@@ -28,7 +28,7 @@ let test_fork_join () =
   let g = Toy.fork_join ~width:4 ~w:1. ~f:1. ~c:1. in
   check_int "tasks" 6 (Dag.n_tasks g);
   check_int "edges" 8 (Dag.n_edges g);
-  check_int "fork out-degree" 4 (List.length (Dag.succ g 0))
+  check_int "fork out-degree" 4 (Dag.Csr.out_degree g 0)
 
 let test_diamond () =
   let g = Toy.diamond () in
@@ -60,13 +60,27 @@ let test_daggen_seeds_differ () =
   let b = Daggen.generate (Rng.create 6) Daggen.small_rand_params in
   check_bool "different" true (Dag.to_string a <> Dag.to_string b)
 
+(* Every bad parameter, cost ranges with [lo > hi] or [lo < 0] included, is
+   a [Daggen:] error raised up front, never a silently edgeless graph. *)
 let test_daggen_rejects () =
-  let bad p = try ignore (Daggen.generate (Rng.create 1) p); false with Invalid_argument _ -> true in
+  let bad p =
+    match Daggen.generate (Rng.create 1) p with
+    | exception Invalid_argument m -> String.starts_with ~prefix:"Daggen: " m
+    | _ -> false
+  in
   check_bool "size 0" true (bad { Daggen.small_rand_params with Daggen.size = 0 });
   check_bool "width 0" true (bad { Daggen.small_rand_params with Daggen.width = 0. });
   check_bool "width > 1" true (bad { Daggen.small_rand_params with Daggen.width = 1.5 });
   check_bool "density > 1" true (bad { Daggen.small_rand_params with Daggen.density = 1.5 });
-  check_bool "jumps 0" true (bad { Daggen.small_rand_params with Daggen.jumps = 0 })
+  check_bool "jumps 0" true (bad { Daggen.small_rand_params with Daggen.jumps = 0 });
+  List.iter
+    (fun (label, p) -> check_bool label true (bad p))
+    [ ("f_range inverted", { Daggen.small_rand_params with Daggen.f_range = (5, 1) });
+      ("f_range negative", { Daggen.small_rand_params with Daggen.f_range = (-3, -1) });
+      ("c_range inverted", { Daggen.small_rand_params with Daggen.c_range = (5, 1) });
+      ("c_range negative", { Daggen.small_rand_params with Daggen.c_range = (-1, 4) });
+      ("w_range inverted", { Daggen.small_rand_params with Daggen.w_range = (20, 1) });
+      ("w_range negative", { Daggen.small_rand_params with Daggen.w_range = (-2, 3) }) ]
 
 let test_daggen_levels () =
   let widths = Daggen.levels (Rng.create 3) Daggen.small_rand_params in
@@ -124,9 +138,9 @@ let test_broadcast_pipeline_shape () =
   (* d consumers need d - 1 relays; every out-degree is at most 2 and the
      producer's is 1. *)
   check_int "relays" 4 (Broadcast.n_fictitious g);
-  check_int "producer fanout" 1 (List.length (Dag.succ g 0));
+  check_int "producer fanout" 1 (Dag.Csr.out_degree g 0);
   for i = 0 to Dag.n_tasks g - 1 do
-    check_bool "fanout bounded" true (List.length (Dag.succ g i) <= 2)
+    check_bool "fanout bounded" true (Dag.Csr.out_degree g i <= 2)
   done;
   (* Consumers are all reachable: they still have exactly one input file of
      the original size. *)

@@ -33,11 +33,13 @@ bench:
 	dune exec bench/main.exe
 
 # Smoke run of the bench harness at quick scale: the campaign/hotpath
-# section must produce a well-formed results/BENCH_hotpath.json.
+# section must produce a well-formed results/quick/BENCH_hotpath.json.
+# Every --quick run writes under the git-ignored results/quick/, so the
+# smoke targets never overwrite the committed full-scale results/ rows.
 bench-smoke: build
 	dune exec bench/main.exe -- --quick --skip-figures
-	test -s results/BENCH_hotpath.json
-	jq -e '.bench == "hotpath" and (.entries | length > 0)' results/BENCH_hotpath.json > /dev/null
+	test -s results/quick/BENCH_hotpath.json
+	jq -e '.bench == "hotpath" and (.entries | length > 0)' results/quick/BENCH_hotpath.json > /dev/null
 	@echo "bench-smoke OK"
 
 # Hot-path smoke at quick scale: the campaign/hotpath section alone,
@@ -46,8 +48,8 @@ bench-smoke: build
 # A/B rows must still be present.
 bench-hotpath-smoke: build
 	dune exec bench/main.exe -- --quick --skip-figures --only-hotpath
-	test -s results/BENCH_hotpath.json
-	jq -e '.bench == "hotpath" and ([.entries[] | select(.n_tasks >= 100000 and .opt_ms < 10000)] | length > 0) and ([.entries[] | select(.ref_ms != null)] | length > 0) and ([.entries[] | select(.ref_ms == null) | .ref == "skipped"] | all)' results/BENCH_hotpath.json > /dev/null
+	test -s results/quick/BENCH_hotpath.json
+	jq -e '.bench == "hotpath" and ([.entries[] | select(.n_tasks >= 100000 and .opt_ms < 10000)] | length > 0) and ([.entries[] | select(.ref_ms != null)] | length > 0) and ([.entries[] | select(.ref_ms == null) | .ref == "skipped"] | all)' results/quick/BENCH_hotpath.json > /dev/null
 	@echo "bench-hotpath-smoke OK"
 
 # Verification-pipeline bench (campaign/sim): flat validate/trace/stats vs
@@ -63,8 +65,8 @@ bench-sim: build
 # without a reference leg must say so explicitly.
 bench-sim-smoke: build
 	dune exec bench/main.exe -- --quick --only-sim
-	test -s results/BENCH_sim.json
-	jq -e '.bench == "sim" and ([.entries[] | select(.n_tasks >= 1000000 and (.validate_ms + .trace_ms + .stats_ms) < 10000)] | length > 0) and ([.entries[] | select(.identical != null) | .identical] | all) and ([.entries[] | select(.ref_ms == null and .section != "jobs") | .ref == "skipped"] | all)' results/BENCH_sim.json > /dev/null
+	test -s results/quick/BENCH_sim.json
+	jq -e '.bench == "sim" and ([.entries[] | select(.n_tasks >= 1000000 and (.validate_ms + .trace_ms + .stats_ms) < 10000)] | length > 0) and ([.entries[] | select(.identical != null) | .identical] | all) and ([.entries[] | select(.ref_ms == null and .section != "jobs") | .ref == "skipped"] | all)' results/quick/BENCH_sim.json > /dev/null
 	@echo "bench-sim-smoke OK"
 
 # Exact-baseline bench (campaign/exact): node throughput of the commit/undo
@@ -75,8 +77,8 @@ bench-exact: build
 
 bench-exact-smoke: build
 	dune exec bench/main.exe -- --quick --only-exact
-	test -s results/BENCH_exact.json
-	jq -e '.bench == "exact" and (.entries | length > 0) and ([.entries[] | select(.section == "jobs") | .identical] | all)' results/BENCH_exact.json > /dev/null
+	test -s results/quick/BENCH_exact.json
+	jq -e '.bench == "exact" and (.entries | length > 0) and ([.entries[] | select(.section == "jobs") | .identical] | all)' results/quick/BENCH_exact.json > /dev/null
 	@echo "bench-exact-smoke OK"
 
 # Daemon bench (campaign/serve): burst throughput and completion latency of
@@ -121,8 +123,8 @@ serve-smoke: build
 # seed-order shuffle row pins the seed-list invariance of the grid.
 bench-online-smoke: build
 	dune exec bench/main.exe -- --quick --only-online
-	test -s results/BENCH_online.json
-	jq -e '.bench == "online" and (.entries | length > 0) and ([.entries[] | .identical] | all)' results/BENCH_online.json > /dev/null
+	test -s results/quick/BENCH_online.json
+	jq -e '.bench == "online" and (.entries | length > 0) and ([.entries[] | .identical] | all)' results/quick/BENCH_online.json > /dev/null
 	@echo "bench-online-smoke OK"
 
 # End-to-end smoke of the online scenario layer: a fixed-seed DAG planned
@@ -150,8 +152,8 @@ bench-lint: build
 bench-lint-smoke: build
 	dune build @check
 	dune exec bench/main.exe -- --quick --only-lint
-	test -s results/BENCH_lint.json
-	jq -e '.bench == "lint" and (.entries | length > 0) and ([.entries[] | .identical] | all) and ([.entries[] | select(.phase == "warm") | .extracted == 0] | all)' results/BENCH_lint.json > /dev/null
+	test -s results/quick/BENCH_lint.json
+	jq -e '.bench == "lint" and (.entries | length > 0) and ([.entries[] | .identical] | all) and ([.entries[] | select(.phase == "warm") | .extracted == 0] | all)' results/quick/BENCH_lint.json > /dev/null
 	@echo "bench-lint-smoke OK"
 
 # Fixed-seed differential-fuzzing smoke run: 500 cases through the whole

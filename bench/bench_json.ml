@@ -50,7 +50,7 @@ let write ~out_dir ~file ~bench ~scale ?(extra = []) entries =
       Buffer.add_string b (if k = last then "}\n" else "},\n"))
     entries;
   Buffer.add_string b "  ]\n}\n";
-  (if not (Sys.file_exists out_dir) then Unix.mkdir out_dir 0o755);
+  Csv.ensure_dir out_dir;
   let path = Filename.concat out_dir file in
   let oc = open_out path in
   Buffer.output_buffer oc b;

@@ -19,7 +19,9 @@
    --only-lint runs just the campaign/lint section — typed static analysis
    over the repo's own cmts, cold vs cached (results/BENCH_lint.json).
    --jobs N fans the campaign out over a N-domain Par pool (results are
-   bit-identical for every N; default: recognised CPUs). *)
+   bit-identical for every N; default: recognised CPUs).
+   --quick writes under results/quick/ (git-ignored) instead of results/, so
+   a smoke run never overwrites the committed full-scale rows. *)
 
 (* Every wall-clock sample in this harness goes through [now]: the numbers
    are reported, never fed back into scheduling decisions, so the
@@ -893,7 +895,7 @@ let () =
     in
     find args
   in
-  let out_dir = "results" in
+  let out_dir = match scale with `Quick -> "results/quick" | `Paper | `Default -> "results" in
   if List.mem "--only-exact" args then run_exact_bench scale out_dir
   else if List.mem "--only-serve" args then run_serve_bench scale out_dir
   else if List.mem "--only-hotpath" args then run_hotpath_bench scale out_dir

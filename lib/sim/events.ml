@@ -11,10 +11,10 @@ type event = { time : float; kind : int; mem : Platform.memory; delta : float }
 
 (* The flat reconstruction generates events straight into preallocated
    parallel arrays sized from [n_tasks + 2 * n_edges] and orders them with
-   one bottom-up merge sort over those arrays instead of a heap: a
-   million-event heap drain does O(m log m) *random* probes across the slot
-   arrays (every sift level is a cache miss at this size), while merge
-   passes stream sequentially and run an order of magnitude faster.  The
+   one insertion-seeded bottom-up merge sort over those arrays instead of a
+   heap: a million-event heap drain does O(m log m) *random* probes across
+   the slot arrays (every sift level is a cache miss at this size), while
+   merge passes stream sequentially and run an order of magnitude faster.  The
    [Event_queue] SoA heap remains the right tool for incremental
    produce/consume interleavings (and still backs the reference pipeline
    below); the trace's single generate-then-drain batch does not need one.
@@ -38,8 +38,9 @@ type event = { time : float; kind : int; mem : Platform.memory; delta : float }
    the step accumulators and the per-task memory codes, each grown on
    demand and retained across calls.  On large instances the fresh-page
    cost of these buffers dominates a verification sweep; sharing one
-   scratch across validate/trace/stats makes every call after the first
-   allocate nothing but the returned trace. *)
+   scratch across validate/trace/stats makes the trace of every call after
+   the first allocate a constant few words (the sort's result tuple),
+   whatever the event count. *)
 type scratch = {
   mutable sc_time : float array;
   mutable sc_key : int array;
@@ -67,53 +68,78 @@ let scratch () =
     sc_mem = [||];
   }
 
-let grown_f a need = if Array.length a >= need then a else Array.make (max 1 need) 0.
-let grown_i a need = if Array.length a >= need then a else Array.make (max 1 need) 0
+let grown_f a need = if Array.length a >= need then a else Array.make (Int.max 1 need) 0.
+let grown_i a need = if Array.length a >= need then a else Array.make (Int.max 1 need) 0
 
-(* Bottom-up merge sort of the parallel (time, key, delta) arrays over the
-   prefix [0, m), double-buffered against the caller-supplied aux triple.
-   Returns the arrays holding the sorted prefix (either the originals or
-   the aux triple, depending on pass parity).
+(* Events are ordered by (time, key).  The keys are distinct (the seq
+   field), so this is a total order and every correct sort yields the same
+   permutation.  NaN never reaches here (rejected at generation), so
+   "neither time is [<] the other" means equal times (including a -0./0.
+   pair, which [Float.compare] also calls equal) and the tie reads the key.
 
-   The "left run entry sorts no later than right run entry" test is spelled
-   out inline rather than as a helper: a function call would box its float
-   arguments on every one of the O(m log m) comparisons.  Times are ordered
-   as [Float.compare] orders them (the heap's total order — the slow path
-   only runs when the fast [<] probes say neither side is strictly smaller,
-   i.e. equal times or a -0./0. pair), then the packed key.  NaN never
-   reaches here (rejected at generation). *)
-let sort_events times keys deltas aux_t aux_k aux_d m =
+   Every comparison is spelled out inline over arrays typed [float array] /
+   [int array]: a helper call would box its float arguments, and an
+   unannotated array would compare and store through the polymorphic
+   runtime primitives. *)
+
+(* Width of the runs insertion-sorted in place before the first merge pass. *)
+let run_width = 16
+
+(* Insertion sort of the triple over [lo, hi). *)
+let insertion_sort (ts : float array) (ks : int array) (ds : float array) lo hi =
+  for i = lo + 1 to hi - 1 do
+    let t = ts.(i) and k = ks.(i) and d = ds.(i) in
+    let j = ref (i - 1) in
+    while
+      !j >= lo
+      &&
+      let tj = ts.(!j) in
+      t < tj || ((not (tj < t)) && k < ks.(!j))
+    do
+      ts.(!j + 1) <- ts.(!j);
+      ks.(!j + 1) <- ks.(!j);
+      ds.(!j + 1) <- ds.(!j);
+      decr j
+    done;
+    ts.(!j + 1) <- t;
+    ks.(!j + 1) <- k;
+    ds.(!j + 1) <- d
+  done
+
+(* Sort of the parallel (time, key, delta) arrays over the prefix [0, m):
+   runs of [run_width] insertion-sorted in place, then bottom-up merge
+   passes double-buffered against the caller-supplied aux triple.  Returns
+   the arrays holding the sorted prefix (either the originals or the aux
+   triple, depending on pass parity). *)
+let sort_events (times : float array) (keys : int array) (deltas : float array)
+    (aux_t : float array) (aux_k : int array) (aux_d : float array) m =
+  let lo = ref 0 in
+  while !lo < m do
+    let hi = Int.min (!lo + run_width) m in
+    insertion_sort times keys deltas !lo hi;
+    lo := hi
+  done;
   let src_t = ref times and src_k = ref keys and src_d = ref deltas in
-  let dst_t = ref aux_t in
-  let dst_k = ref aux_k in
-  let dst_d = ref aux_d in
-  let width = ref 1 in
+  let dst_t = ref aux_t and dst_k = ref aux_k and dst_d = ref aux_d in
+  let width = ref run_width in
   while !width < m do
     let a_t = !src_t and a_k = !src_k and a_d = !src_d in
     let b_t = !dst_t and b_k = !dst_k and b_d = !dst_d in
     let lo = ref 0 in
     while !lo < m do
-      let mid = min (!lo + !width) m in
-      let hi = min (mid + !width) m in
+      let mid = Int.min (!lo + !width) m in
+      let hi = Int.min (mid + !width) m in
       let i = ref !lo and j = ref mid and k = ref !lo in
       while !i < mid && !j < hi do
         let ta = a_t.(!i) and tb = a_t.(!j) in
-        let take_left =
-          if ta < tb then true
-          else if tb < ta then false
-          else begin
-            let c = Float.compare ta tb in
-            if c <> 0 then c < 0 else a_k.(!i) <= a_k.(!j)
-          end
-        in
-        if take_left then begin
-          b_t.(!k) <- a_t.(!i);
+        if ta < tb || ((not (tb < ta)) && a_k.(!i) <= a_k.(!j)) then begin
+          b_t.(!k) <- ta;
           b_k.(!k) <- a_k.(!i);
           b_d.(!k) <- a_d.(!i);
           incr i
         end
         else begin
-          b_t.(!k) <- a_t.(!j);
+          b_t.(!k) <- tb;
           b_k.(!k) <- a_k.(!j);
           b_d.(!k) <- a_d.(!j);
           incr j
@@ -146,6 +172,23 @@ let sort_events times keys deltas aux_t aux_k aux_d m =
   done;
   (!src_t, !src_k, !src_d)
 
+(* Store one event at generation index [i] and return the next free index;
+   a zero-delta event is skipped.  Top-level and inlined over typed arrays
+   so [time] and [delta] stay unboxed (a local closure would box both on
+   every event). *)
+let[@inline] push (g_time : float array) (g_key : int array) (g_delta : float array) cap i time
+    kind mem_code delta =
+  if Float.equal delta 0. then i
+  else begin
+    (* Same rejection (and message) the reference path gets from
+       [Event_queue.add], so error behaviour stays bit-identical. *)
+    if Float.is_nan time then invalid_arg "Event_queue.add: NaN time";
+    g_time.(i) <- time;
+    g_key.(i) <- (((kind lsl 40) lor (cap - i)) lsl 1) lor mem_code;
+    g_delta.(i) <- delta;
+    i + 1
+  end
+
 (* Compute the trace into [sc]'s step accumulators without copying out:
    returns the step count.  Steps [0, count) live in
    [sc_tacc]/[sc_bacc]/[sc_racc] until the next trace over the scratch —
@@ -166,17 +209,6 @@ let memory_trace_into sc g platform s =
   sc.sc_delta <- grown_f sc.sc_delta cap;
   let g_time = sc.sc_time and g_key = sc.sc_key and g_delta = sc.sc_delta in
   let next = ref 0 in
-  let push time kind mem_code delta =
-    if not (Float.equal delta 0.) then begin
-      (* Same rejection (and message) the reference path gets from
-         [Event_queue.add], so error behaviour stays bit-identical. *)
-      if Float.is_nan time then invalid_arg "Event_queue.add: NaN time";
-      g_time.(!next) <- time;
-      g_key.(!next) <- (((kind lsl 40) lor (cap - !next)) lsl 1) lor mem_code;
-      g_delta.(!next) <- delta;
-      incr next
-    end
-  in
   let starts = s.Schedule.starts and procs = s.Schedule.procs in
   let wb = Dag.Csr.w_blue g and wr = Dag.Csr.w_red g in
   let in_sz = Dag.Csr.in_sz g and out_sz = Dag.Csr.out_sz g in
@@ -190,8 +222,8 @@ let memory_trace_into sc g platform s =
   for i = 0 to n - 1 do
     let m = mem_code.(i) in
     let finish = starts.(i) +. (if m = 0 then wb.(i) else wr.(i)) in
-    push starts.(i) 1 m out_sz.(i);
-    push finish 0 m (-.in_sz.(i))
+    next := push g_time g_key g_delta cap !next starts.(i) 1 m out_sz.(i);
+    next := push g_time g_key g_delta cap !next finish 0 m (-.in_sz.(i))
   done;
   let e_src = Dag.Csr.e_src g and e_dst = Dag.Csr.e_dst g in
   let e_size = Dag.Csr.e_size g and e_comm = Dag.Csr.e_comm g in
@@ -201,8 +233,8 @@ let memory_trace_into sc g platform s =
     if src_mem <> mem_code.(e_dst.(eid)) then begin
       match comm_starts.(eid) with
       | Some tau ->
-        push tau 1 (1 - src_mem) e_size.(eid);
-        push (tau +. e_comm.(eid)) 0 src_mem (-.e_size.(eid))
+        next := push g_time g_key g_delta cap !next tau 1 (1 - src_mem) e_size.(eid);
+        next := push g_time g_key g_delta cap !next (tau +. e_comm.(eid)) 0 src_mem (-.e_size.(eid))
       | None -> invalid_arg "Events.memory_trace: cut edge without transfer"
     end
   done;

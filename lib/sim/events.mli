@@ -20,8 +20,10 @@ type scratch
     on demand and retained across calls.  A trace over an [m]-event
     schedule touches ~9 [m]-sized arrays; reusing one scratch across a
     verification pass (validate, then trace, then stats on the same
-    instance) makes every call after the first allocate nothing but the
-    returned trace itself — on large instances the fresh-page cost of those
+    instance) makes the trace part of every call after the first
+    allocation-free: {!memory_trace_into} on a warm scratch allocates a
+    constant few words whatever [m], and {!memory_trace} adds only the
+    returned trace — on large instances the fresh-page cost of those
     buffers otherwise dominates the sweep.  A scratch is single-threaded
     state: share it between calls, never between domains. *)
 
@@ -30,10 +32,11 @@ val scratch : unit -> scratch
 
 val memory_trace : ?scratch:scratch -> Dag.t -> Platform.t -> Schedule.t -> trace
 (** Flat reconstruction: events are generated straight into preallocated
-    parallel arrays sized from [n_tasks + 2 * n_edges] and ordered by one
-    streaming bottom-up merge sort (kind/seq/memory packed into an int key)
-    instead of a heap drain — same order, sequential access.  Bit-identical
-    to {!memory_trace_reference}. *)
+    parallel arrays sized from [n_tasks + 2 * n_edges] and ordered by
+    (time, packed kind/seq/memory int key) — runs of 16 insertion-sorted in
+    place, then streaming bottom-up merge passes — instead of a heap drain:
+    same order, sequential access, no boxing.  Bit-identical to
+    {!memory_trace_reference}. *)
 
 val memory_trace_into : scratch -> Dag.t -> Platform.t -> Schedule.t -> int
 (** Zero-copy form of {!memory_trace}: computes the trace into the

@@ -57,7 +57,9 @@ let finishes g platform s =
    sort each group in place by (start, finish, id).  The id tie-break makes
    the comparator total, which reproduces [tasks_of_proc] exactly: that path
    stable-sorts ascending task ids by (start, finish), so fully-tied tasks
-   stay in ascending-id order there too. *)
+   stay in ascending-id order there too.  Being total, it also makes the
+   sort algorithm invisible: [Array.stable_sort] (merge sort) is used
+   because it beats [Array.sort]'s heapsort here. *)
 let tasks_by_proc g platform s =
   let n = Dag.n_tasks g in
   let nprocs = Platform.n_procs platform in
@@ -91,7 +93,7 @@ let tasks_by_proc g platform s =
     let lo = off.(p) and hi = off.(p + 1) in
     if hi - lo > 1 then begin
       let seg = Array.sub order lo (hi - lo) in
-      Array.sort cmp seg;
+      Array.stable_sort cmp seg;
       Array.blit seg 0 order lo (hi - lo)
     end
   done;

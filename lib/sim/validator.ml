@@ -26,7 +26,7 @@ let ranges ~shard len =
   let rec go lo acc =
     if lo >= len then List.rev acc
     else
-      let hi = min len (lo + shard) in
+      let hi = Int.min len (lo + shard) in
       go hi ((lo, hi) :: acc)
   in
   go 0 []

@@ -94,7 +94,7 @@ let mark s = s.jdepth
 let ensure_capacity s n =
   let cap = Array.length s.xs in
   if n > cap then begin
-    let cap' = max n (2 * cap) in
+    let cap' = Int.max n (2 * cap) in
     let xs' = Array.make cap' 0. and vs' = Array.make cap' 0. in
     Array.blit s.xs 0 xs' 0 s.len;
     Array.blit s.vs 0 vs' 0 s.len;
@@ -126,7 +126,7 @@ let final_value s = s.vs.(s.len - 1)
    every prefix entry and reached [from_] with its write cursor at
    [from_ - 1]: starting there produces the exact same array. *)
 let coalesce_from s from_ =
-  let w = ref (max 0 (from_ - 1)) in
+  let w = ref (Int.max 0 (from_ - 1)) in
   for r = !w + 1 to s.len - 1 do
     if abs_float (s.vs.(r) -. s.vs.(!w)) > eps then begin
       incr w;
@@ -228,7 +228,7 @@ let grow_tree s =
 let refresh_tree s =
   if s.tsize < s.len then grow_tree s
   else begin
-    let hi = max s.len s.tree_len - 1 in
+    let hi = Int.max s.len s.tree_len - 1 in
     if s.dirty_from <= hi then begin
       let a = s.dirty_from in
       for j = a to hi do

@@ -484,6 +484,160 @@ let test_scratch_reuse =
       (* Three instances through the same scratch, sizes varying with seed. *)
       check seed && check (seed lxor 0x5bd1) && check (seed + 17))
 
+(* Hand-built schedules at the sort's edges, each checked bit-for-bit
+   against the reference trace and validator.  The event counts straddle
+   the insertion-sort run width (16) and the first merge widths; a count of
+   1 cannot occur (a file of nonzero size is allocated and freed), so the
+   smallest nonempty row has 2 events. *)
+
+(* Events the trace generates: nonzero output/input totals per task, plus
+   an alloc and a free per cut edge of nonzero size. *)
+let n_events g p s =
+  let n = ref 0 in
+  for i = 0 to Dag.n_tasks g - 1 do
+    if not (Float.equal (Dag.out_size g i) 0.) then incr n;
+    if not (Float.equal (Dag.in_size g i) 0.) then incr n
+  done;
+  Array.iter
+    (fun (e : Dag.edge) ->
+      if Schedule.is_cut p s e && not (Float.equal e.Dag.size 0.) then n := !n + 2)
+    (Dag.edges g);
+  !n
+
+(* Producer 0 feeding [d] consumers; every weight is [w], every file has
+   size 1 and transfer time [comm]. *)
+let fan ?(w = 1.) ?(comm = 1.) d =
+  build_dag
+    ~tasks:(("p", w, w) :: List.init d (fun k -> (Printf.sprintf "c%d" k, w, w)))
+    ~edges:(List.init d (fun k -> (0, k + 1, 1., comm)))
+
+(* [fan d] on the blue processor, consumers in a scrambled serial order
+   (7919 is prime, so [k * 7919 mod d] permutes [0, d)). *)
+let fan_scrambled ?(producer_start = 0.) d =
+  let g = fan d in
+  let s = Schedule.create g in
+  s.Schedule.starts.(0) <- producer_start;
+  for k = 0 to d - 1 do
+    s.Schedule.starts.(k + 1) <- 1. +. float_of_int (k * 7919 mod d)
+  done;
+  (g, s)
+
+let sort_edge_rows =
+  let counts =
+    List.map
+      (fun c -> (Printf.sprintf "%d events" c, c, fun () -> fan_scrambled (c - 1)))
+      [ 2; 15; 16; 17; 31; 32; 33; 1025 ]
+  in
+  counts
+  @ [ ( "0 events",
+        0,
+        fun () ->
+          let g = build_dag ~tasks:[ ("a", 1., 1.) ] ~edges:[] in
+          (g, Schedule.create g) );
+      ( "all events at one instant",
+        41,
+        fun () ->
+          (* Zero-duration tasks and zero-time transfers, all at 0. *)
+          let g = fan ~w:0. ~comm:0. 20 in
+          let s = Schedule.create g in
+          for k = 0 to 19 do
+            if k mod 2 = 1 then begin
+              s.Schedule.procs.(k + 1) <- 1;
+              s.Schedule.comm_starts.(k) <- Some 0.
+            end
+          done;
+          (g, s) );
+      ( "starts in reverse id order",
+        41,
+        fun () ->
+          let g = fan 40 in
+          let s = Schedule.create g in
+          for k = 0 to 39 do
+            s.Schedule.starts.(k + 1) <- 1. +. float_of_int (39 - k)
+          done;
+          (g, s) );
+      ( "zero-duration alloc and free share an instant",
+        78,
+        fun () ->
+          let g =
+            build_dag
+              ~tasks:(List.init 40 (fun i -> (Printf.sprintf "t%d" i, 0., 0.)))
+              ~edges:(List.init 39 (fun i -> (i, i + 1, 1., 1.)))
+          in
+          let s = Schedule.create g in
+          Array.iteri (fun i _ -> s.Schedule.starts.(i) <- float_of_int i) s.Schedule.starts;
+          (g, s) );
+      ( "-0. and 0. starts side by side",
+        60,
+        fun () ->
+          (* 20 pairs a_k -> b_k: a_k zero-duration at -0. or 0., every
+             other a_k on red with its transfer at -0. or 0. *)
+          let g =
+            build_dag
+              ~tasks:
+                (List.concat
+                   (List.init 20 (fun k ->
+                        [ (Printf.sprintf "a%d" k, 0., 0.); (Printf.sprintf "b%d" k, 1., 1.) ])))
+              ~edges:(List.init 20 (fun k -> (2 * k, (2 * k) + 1, 1., 1.)))
+          in
+          let s = Schedule.create g in
+          for k = 0 to 19 do
+            let z = if k mod 4 < 2 then -0. else 0. in
+            s.Schedule.starts.(2 * k) <- z;
+            s.Schedule.starts.((2 * k) + 1) <- (if k mod 3 = 0 then -0. else 0.);
+            if k mod 2 = 1 then begin
+              s.Schedule.procs.(2 * k) <- 1;
+              s.Schedule.comm_starts.(k) <- Some z
+            end
+          done;
+          (g, s) );
+      ("start in (-eps, 0)", 21, fun () -> fan_scrambled ~producer_start:(-1e-9) 20) ]
+
+let test_sort_edge_cases () =
+  let roomy = plat ~mb:1e9 ~mr:1e9 and tight = plat ~mb:1.5 ~mr:1.5 in
+  List.iter
+    (fun (name, events, build) ->
+      let g, s = build () in
+      check_int (name ^ ": event count") events (n_events g roomy s);
+      let a = Events.memory_trace g roomy s and b = Events.memory_trace_reference g roomy s in
+      check_bool (name ^ ": trace equals reference") true
+        (float_arrays_equal a.Events.times b.Events.times
+        && float_arrays_equal a.Events.blue b.Events.blue
+        && float_arrays_equal a.Events.red b.Events.red);
+      List.iter
+        (fun (label, p) ->
+          check_bool
+            (Printf.sprintf "%s: validate equals reference (%s)" name label)
+            true
+            (report_equal (Validator.validate g p s) (Validator.validate_reference g p s)))
+        [ ("roomy", roomy); ("tight", tight) ])
+    sort_edge_rows;
+  let g, s = fan_scrambled ~producer_start:(-1e-9) 20 in
+  check_bool "start in (-eps, 0) accepted" true (Result.is_ok (Validator.validate g roomy s))
+
+(* A trace on a warm scratch allocates a constant number of words, whatever
+   the instance size: no per-event or per-comparison boxing. *)
+let warm_trace_words_bound = 64.
+
+let test_warm_trace_allocation () =
+  let p = Workloads.platform_mirage in
+  List.iter
+    (fun (name, g) ->
+      let s = Heuristics.heft g p in
+      let sc = Events.scratch () in
+      ignore (Events.memory_trace_into sc g p s);
+      let before = Gc.minor_words () in
+      ignore (Events.memory_trace_into sc g p s);
+      let words = Gc.minor_words () -. before in
+      check_bool
+        (Printf.sprintf "%s: warm trace allocates %.0f words (bound %.0f)" name words
+           warm_trace_words_bound)
+        true
+        (words <= warm_trace_words_bound))
+    [ ("LU n=8", Lu.generate ~n:8 ());
+      ("Cholesky n=14", Cholesky.generate ~n:14 ());
+      ("LU n=20", Lu.generate ~n:20 ()) ]
+
 let test_tasks_by_proc_parity =
   qtest ~count:200 "tasks_by_proc groups equal tasks_of_proc on every processor" seed_arb
     (fun seed ->
@@ -657,6 +811,8 @@ let () =
           test_trace_parity;
           test_stats_parity;
           test_scratch_reuse;
+          Alcotest.test_case "sort edge cases" `Quick test_sort_edge_cases;
+          Alcotest.test_case "warm trace allocation" `Quick test_warm_trace_allocation;
           test_tasks_by_proc_parity;
           Alcotest.test_case "zero-duration ties" `Quick test_tasks_by_proc_zero_duration_ties;
           Alcotest.test_case "bad processor rejected" `Quick test_tasks_by_proc_rejects_bad_proc;
